@@ -2,7 +2,7 @@
 
 Mirrors the kernel backend registry (:mod:`repro.kernels.backend`): engines
 register themselves under a name, and :class:`~repro.congest.simulator.Simulator`
-resolves one per run.  Four engines ship with the library:
+resolves one per run.  Five engines ship with the library:
 
 * ``"sparse"`` -- the default event-driven scheduler: same semantics as the
   seed loop, but with an active-node set instead of full halted scans, pooled
@@ -20,7 +20,7 @@ resolves one per run.  Four engines ship with the library:
 * ``"symbolic"`` -- the closed-form executor: derives the whole
   :class:`RoundReport` analytically for schedule-determined schemas (tree
   primitives, broadcast replays, arrival-gated min-plus runs) instead of
-  stepping rounds.  Pure Python, needs no NumPy, never auto-selected.
+  stepping rounds.  Pure Python, needs no NumPy; ``auto``'s first choice.
 * ``"legacy"`` -- the seed scheduler loop, kept verbatim as the pinned
   reference the benchmarks and differential tests compare against.
 
@@ -31,8 +31,11 @@ Selection order (first match wins):
    engine benchmarks),
 3. the ``REPRO_ENGINE`` environment variable (``sparse``, ``dense``,
    ``sharded``, ``symbolic``, ``legacy`` or ``auto``),
-4. ``auto``: ``dense`` when the run is dense-eligible, otherwise ``sparse``
-   (``sharded`` and ``symbolic`` are opt-in and never auto-selected).
+4. ``auto``: ``symbolic`` when the run is symbolic-eligible, else ``dense``
+   when it is dense-eligible, otherwise ``sparse``.  Eligibility is each
+   engine's own :meth:`ExecutionEngine.supports`; an observed run skips
+   ``symbolic`` (closed forms materialize no message stream).  ``sharded``
+   is opt-in and never auto-selected.
 
 A forced or environment-selected engine that cannot execute a particular run
 (e.g. ``dense`` for an algorithm without a message schema) falls back to
@@ -134,14 +137,17 @@ def resolve_engine(
     network: Network,
     algorithm: NodeAlgorithm,
     initial_memory: Optional[Dict[int, Dict[str, Any]]] = None,
+    observed: bool = False,
 ) -> ExecutionEngine:
     """Select the engine for one run (explicit > forced > env > auto).
 
     ``name=None`` consults the override/environment; ``"auto"`` prefers the
-    fastest eligible engine.  An explicitly named engine that cannot execute
-    the run raises; a forced/environment preference silently falls back to
-    the ``sparse`` engine, so a blanket ``REPRO_ENGINE=dense`` accelerates
-    the eligible protocols without breaking the rest.
+    fastest eligible engine (``observed`` runs -- an ``observer`` is
+    attached -- skip ``symbolic``, which would hand them to ``sparse``).
+    An explicitly named engine that cannot execute the run raises; a
+    forced/environment preference silently falls back to the ``sparse``
+    engine, so a blanket ``REPRO_ENGINE=dense`` accelerates the eligible
+    protocols without breaking the rest.
     """
     explicit = name is not None
     if name is None:
@@ -149,7 +155,7 @@ def resolve_engine(
     if name is None:
         name = os.environ.get(ENGINE_ENV_VAR, "auto").strip().lower() or "auto"
     if name == "auto":
-        for preferred in ("dense",):
+        for preferred in ("dense",) if observed else ("symbolic", "dense"):
             engine = _REGISTRY.get(preferred)
             if engine is not None and engine.supports(
                 network, algorithm, initial_memory

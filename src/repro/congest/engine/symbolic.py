@@ -22,13 +22,15 @@ strict-bandwidth violation) from the schedule the schema determines:
   on a data-dependent schedule with no useful closed form; those runs are
   not supported and fall back per the registry rules.
 
-The engine is registered always (pure Python) but never auto-selected:
-``REPRO_ENGINE=symbolic`` (or ``force_engine``/``engine=``) opts in, and any
-run it cannot execute falls back to ``sparse`` exactly like the other
-specialised engines.  Attaching an ``observer`` to a min-plus or
-broadcast-replay run also falls back to ``sparse`` -- closed forms have no
-message stream to report -- while tree runs keep ``dense_tree``'s native
-exact materialization.
+The engine is registered always (pure Python) and is ``auto``'s first
+choice: every run it supports resolves here, the rest go to ``dense`` or
+``sparse``.  Forced or environment selection (``REPRO_ENGINE=symbolic``,
+``force_engine``) falls back to ``sparse`` for runs it cannot execute,
+exactly like the other specialised engines.  Attaching an ``observer`` to a
+min-plus or broadcast-replay run also falls back to ``sparse`` -- closed
+forms have no message stream to report -- so ``auto`` skips this engine for
+observed runs, while tree runs keep ``dense_tree``'s native exact
+materialization.
 
 The contract is the library invariant: outputs, contexts and every
 :class:`RoundReport` field are bit-identical to the sparse engine, enforced

@@ -21,14 +21,15 @@ congestion-adjusted counts.
 
 Since the engine refactor, :class:`Simulator` is a thin facade: the actual
 round loop lives in one of the pluggable execution engines under
-:mod:`repro.congest.engine` (``sparse`` by default, the vectorized ``dense``
-engine for protocols with a structured message schema, the shard-partitioned
-``sharded`` engine -- ``REPRO_SHARDS`` shards, optionally executed by
-``REPRO_SHARD_WORKERS`` forked worker processes -- and the pinned ``legacy``
-seed loop).  Every engine produces bit-identical :class:`RoundReport`
-numbers and identical outputs, so which engine runs is purely a performance
-decision -- overridable per call (``engine=``), per process
-(:func:`repro.congest.engine.force_engine`) or per environment
+:mod:`repro.congest.engine` (the closed-form ``symbolic`` engine for
+schedule-determined schemas, the vectorized ``dense`` engine for other
+structured message schemas, ``sparse`` for everything else, the
+shard-partitioned ``sharded`` engine -- ``REPRO_SHARDS`` shards, optionally
+executed by ``REPRO_SHARD_WORKERS`` forked worker processes -- and the
+pinned ``legacy`` seed loop).  Every engine produces bit-identical
+:class:`RoundReport` numbers and identical outputs, so which engine runs is
+purely a performance decision -- overridable per call (``engine=``), per
+process (:func:`repro.congest.engine.force_engine`) or per environment
 (``REPRO_ENGINE``).
 
 In sharded worker mode, intra-block messages are retained inside the worker
@@ -115,9 +116,10 @@ class Simulator:
             ownership boundary; it never affects the execution itself.
         engine:
             Optional explicit engine name (``"sparse"``, ``"dense"``,
-            ``"sharded"``, ``"legacy"``).  Defaults to the forced / ``REPRO_ENGINE`` /
-            ``auto`` selection; an explicitly named engine that cannot
-            execute this run raises instead of falling back.
+            ``"sharded"``, ``"symbolic"``, ``"legacy"``).  Defaults to the
+            forced / ``REPRO_ENGINE`` / ``auto`` selection; an explicitly
+            named engine that cannot execute this run raises instead of
+            falling back.
 
         Returns
         -------
@@ -125,7 +127,11 @@ class Simulator:
             Node outputs, contexts and the round report.
         """
         selected = resolve_engine(
-            engine, self._network, algorithm, initial_memory=initial_memory
+            engine,
+            self._network,
+            algorithm,
+            initial_memory=initial_memory,
+            observed=observer is not None,
         )
         return selected.run(
             self._network,

@@ -30,6 +30,7 @@ from __future__ import annotations
 import hashlib
 import json
 import threading
+import uuid
 from collections import OrderedDict
 from pathlib import Path
 from typing import Any, Dict, Optional, Tuple
@@ -78,6 +79,8 @@ class CacheStats:
         self.hits = 0
         self.misses = 0
         self.stores = 0
+        #: Disk-tier writes that raised (the entry stays in memory).
+        self.store_failures = 0
         self.cross_engine_hits = 0
         self.disk_hits = 0
         self.evictions = 0
@@ -186,15 +189,33 @@ class ResultCache:
                 if self._semantic_index.get(evicted["semantic_key"]) == evicted_key:
                     del self._semantic_index[evicted["semantic_key"]]
         if self._directory is not None:
-            path = self._directory / f"{exact}.json"
-            tmp = path.with_suffix(".tmp")
-            tmp.write_text(json.dumps(document, sort_keys=True, indent=2) + "\n")
-            tmp.replace(path)
+            try:
+                self._write_disk(exact, document)
+            except OSError:
+                # The memory tier already holds the entry: a failed disk
+                # write costs a future cold start, never the finished run.
+                with self._lock:
+                    self.stats.store_failures += 1
         return exact
 
     # ------------------------------------------------------------------ #
     # Internals
     # ------------------------------------------------------------------ #
+    def _write_disk(self, key: str, document: Dict[str, Any]) -> None:
+        """Atomically write ``<key>.json`` through a temp file of its own.
+
+        Each write gets a unique temp name in the cache directory, so
+        concurrent writers of one key (threads or processes) never share or
+        delete each other's temp file; the replace makes the last complete
+        document win.
+        """
+        tmp = self._directory / f"{key}.{uuid.uuid4().hex}.tmp"
+        try:
+            tmp.write_text(json.dumps(document, sort_keys=True, indent=2) + "\n")
+            tmp.replace(self._directory / f"{key}.json")
+        finally:
+            tmp.unlink(missing_ok=True)  # still there only if the write failed
+
     def _load(self, key: Optional[str]) -> Optional[Dict[str, Any]]:
         if key is None:
             return None

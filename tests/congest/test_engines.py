@@ -21,9 +21,10 @@ from repro.congest import (
 )
 from repro.congest.engine import base as engine_base
 from repro.congest.engine.base import resolve_engine
-from repro.congest.primitives import _MinIdFloodAlgorithm
+from repro.congest.primitives import _BfsTreeAlgorithm, _MinIdFloodAlgorithm
 from repro.congest.sssp import _BellmanFordAlgorithm
 from repro.graphs import WeightedGraph, path_graph, random_weighted_graph
+from repro.nanongkai.bounded_distance_sssp import BoundedDistanceSsspAlgorithm
 
 ENGINES = available_engines()
 
@@ -122,19 +123,64 @@ class TestRegistry:
             if removed is not None:
                 engine_base._REGISTRY["dense"] = removed
 
-    def test_auto_prefers_dense_for_schema_protocols(self, network, monkeypatch):
-        if "dense" not in ENGINES:
-            pytest.skip("dense engine needs NumPy")
+    @pytest.mark.parametrize(
+        "case, expected",
+        [
+            ("gated-minplus", "symbolic"),
+            ("tree-primitive", "symbolic"),
+            ("bellman-ford", "dense"),
+            ("min-id-flood", "dense"),
+            ("schema-less", "sparse"),
+            ("gated-minplus-foreign-memory", "sparse"),
+            ("bellman-ford-foreign-memory", "sparse"),
+        ],
+    )
+    def test_auto_planner_table(self, network, monkeypatch, case, expected):
+        """auto = symbolic if eligible, else dense if eligible, else sparse."""
         monkeypatch.delenv("REPRO_ENGINE", raising=False)
-        algorithm = _BellmanFordAlgorithm([min(network.nodes)])
-        assert resolve_engine(None, network, algorithm).name == "dense"
-        # ... but not when pre-loaded memory makes the run ineligible.
-        assert (
-            resolve_engine(
-                None, network, algorithm, initial_memory={0: {"x": 1}}
-            ).name
-            == "sparse"
-        )
+        algorithm, memory = _planner_case(case, network)
+        if expected == "dense" and "dense" not in ENGINES:
+            expected = "sparse"
+        assert resolve_engine(None, network, algorithm, memory).name == expected
+        assert resolve_engine("auto", network, algorithm, memory).name == expected
+
+    @pytest.mark.parametrize(
+        "case, expected",
+        [("gated-minplus", "symbolic"), ("bellman-ford", "sparse")],
+    )
+    def test_auto_planner_without_dense(self, network, monkeypatch, case, expected):
+        """The no-NumPy tier: dense absent, symbolic still preferred."""
+        monkeypatch.delenv("REPRO_ENGINE", raising=False)
+        monkeypatch.delitem(engine_base._REGISTRY, "dense", raising=False)
+        algorithm, memory = _planner_case(case, network)
+        assert resolve_engine(None, network, algorithm, memory).name == expected
+
+    def test_auto_planner_skips_symbolic_for_observed_runs(
+        self, network, monkeypatch
+    ):
+        """Closed forms have no message stream: an observed gated min-plus
+        run must go to dense (the engine that materializes rounds), not to
+        symbolic, which would hand it to sparse."""
+        monkeypatch.delenv("REPRO_ENGINE", raising=False)
+        executed = []
+        for name in ENGINES:
+            engine = get_engine(name)
+            original = engine.run
+
+            def spy(*args, _name=name, _original=original, **kwargs):
+                executed.append(_name)
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(engine, "run", spy)
+        algorithm = BoundedDistanceSsspAlgorithm(min(network.nodes), 20)
+        simulator = Simulator(network)
+        unobserved = simulator.run(algorithm)
+        assert executed == ["symbolic"]
+        executed.clear()
+        observed = simulator.run(algorithm, observer=lambda number, batch: None)
+        assert executed == ["dense" if "dense" in ENGINES else "sparse"]
+        assert observed.report == unobserved.report
+        assert observed.outputs == unobserved.outputs
 
     def test_custom_engine_registration(self, network):
         class EchoEngine(engine_base.ExecutionEngine):
@@ -151,6 +197,24 @@ class TestRegistry:
             assert result.report.rounds == 1
         finally:
             engine_base._REGISTRY.pop("echo-test", None)
+
+
+def _planner_case(case, network):
+    """``(algorithm, initial_memory)`` for one row of the planner table."""
+    source = min(network.nodes)
+    foreign = {source: {"x": 1}}  # state no schema can express
+    return {
+        "gated-minplus": (BoundedDistanceSsspAlgorithm(source, 20), None),
+        "tree-primitive": (_BfsTreeAlgorithm(source), None),
+        "bellman-ford": (_BellmanFordAlgorithm([source]), None),
+        "min-id-flood": (_MinIdFloodAlgorithm(4), None),
+        "schema-less": (_Quiet(), None),
+        "gated-minplus-foreign-memory": (
+            BoundedDistanceSsspAlgorithm(source, 20),
+            foreign,
+        ),
+        "bellman-ford-foreign-memory": (_BellmanFordAlgorithm([source]), foreign),
+    }[case]
 
 
 class TestObserverSemantics:

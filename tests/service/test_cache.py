@@ -3,11 +3,12 @@
 from __future__ import annotations
 
 import json
+import threading
 
 import pytest
 
 from repro.congest.engine.base import available_engines
-from repro.service import GraphSpec, ResultCache, RunSpec, SimulationService
+from repro.service import GraphSpec, JobState, ResultCache, RunSpec, SimulationService
 from repro.service.cache import cache_key, semantic_key
 
 pytestmark = pytest.mark.service
@@ -211,6 +212,57 @@ class TestLruAndDiskTier:
         assert len(cache) == 0
         service.run(spec)
         assert cache.stats.disk_hits == 1
+        service.close()
+
+    def test_concurrent_stores_of_one_key(self, tmp_path):
+        # Writers of one key must not share a temp file: one writer's replace
+        # would move the file another is about to replace (FileNotFoundError).
+        spec = sssp_spec()
+        digest, _ = spec.graph.digest_with_graph()
+        result = SimulationService(max_workers=1).run(spec)
+        cache = ResultCache(directory=tmp_path)
+        threads, stores = 4, 100
+        barrier = threading.Barrier(threads)
+        errors = []
+
+        def writer():
+            barrier.wait()
+            for _ in range(stores):
+                try:
+                    cache.store(spec, digest, result)
+                except Exception as exc:  # noqa: BLE001 - collected for the assert
+                    errors.append(exc)
+
+        workers = [threading.Thread(target=writer) for _ in range(threads)]
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join()
+        assert errors == []
+        assert cache.stats.stores == threads * stores
+        assert cache.stats.store_failures == 0
+        assert [path.name for path in tmp_path.iterdir()] == [
+            f"{cache_key(spec, digest)}.json"
+        ]
+        fresh = ResultCache(directory=tmp_path).lookup(spec, digest)
+        assert fresh == (result, False)
+
+    def test_disk_write_failure_is_counted_not_fatal(self, tmp_path, monkeypatch):
+        cache = ResultCache(directory=tmp_path)
+
+        def failing_write(key, document):
+            raise FileNotFoundError(key)
+
+        monkeypatch.setattr(cache, "_write_disk", failing_write)
+        service = SimulationService(max_workers=1, cache=cache)
+        spec = sssp_spec()
+        handle = service.submit(spec)
+        fresh = handle.result()
+        assert handle.poll().state is JobState.COMPLETED
+        assert cache.stats.store_failures == 1
+        assert service.run(spec) == fresh  # the memory tier still serves it
+        assert cache.stats.hits == 1
+        assert list(tmp_path.iterdir()) == []
         service.close()
 
     def test_bad_max_entries_rejected(self):
