@@ -2,8 +2,11 @@
 
 Every benchmark regenerates one of the paper's tables or figures as a
 plain-text artifact: it prints the table to stdout (so ``pytest benchmarks/
---benchmark-only -s`` shows everything) and also writes it under
-``benchmarks/results/`` so EXPERIMENTS.md can point at stable files.
+--benchmark-only -s`` shows everything) and also writes it to a file.  By
+default the files go to a per-session temporary directory, so a plain test
+run leaves the committed snapshots alone; ``--write-results`` (pass it with a
+``benchmarks/`` path on the command line) writes them under
+``benchmarks/results/`` instead, which is what the CI benchmarks job uploads.
 
 Next to each human-readable table, benchmarks also drop a machine-readable
 ``BENCH_<name>.json`` twin (via :func:`record_json`) so the performance
@@ -50,11 +53,23 @@ def git_commit() -> Optional[str]:
         return None
 
 
+def pytest_addoption(parser):
+    parser.addoption(
+        "--write-results",
+        action="store_true",
+        default=False,
+        help="write benchmark tables to the committed benchmarks/results/ "
+        "instead of a temporary directory",
+    )
+
+
 @pytest.fixture(scope="session")
-def results_dir() -> Path:
+def results_dir(request, tmp_path_factory) -> Path:
     """Directory where benchmark artifacts (regenerated tables) are written."""
-    RESULTS_DIR.mkdir(exist_ok=True)
-    return RESULTS_DIR
+    if request.config.getoption("--write-results", default=False):
+        RESULTS_DIR.mkdir(exist_ok=True)
+        return RESULTS_DIR
+    return tmp_path_factory.mktemp("results")
 
 
 @pytest.fixture

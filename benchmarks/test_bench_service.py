@@ -1,7 +1,7 @@
 """Service-layer benchmark: cold vs warm content-addressed cache.
 
 Regenerates a table timing the same ``theorem11-pipeline`` request (the
-full Theorem 1.1 classical pipeline on the ``n = 1024`` bounded-degree
+full Theorem 1.1 classical pipeline on the ``n = 1024`` Yao
 spanner, symbolic engine) issued twice through
 :class:`repro.service.SimulationService`: a *cold* request that has to run
 the simulator, and a *warm* request answered from the content-addressed

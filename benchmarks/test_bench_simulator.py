@@ -16,11 +16,15 @@ A second table covers the announce-schedule family: dense bounded-distance
 SSSP (Nanongkai's Algorithm 2, the inner loop of the Theorem 1.1 pipeline)
 must clear a >=3x floor over the legacy loop at ``n = 256`` (~6-9x measured:
 the workload is dominated by the ``L + 1`` fixed schedule rounds, which the
-dense engine steps without per-node Python dispatch).
+dense engine steps without per-node Python dispatch).  The tree-primitive
+table (pipelined gather + broadcast over a BFS tree) has the same shape and
+a >=3x dense floor.  Both tables also carry a ``symbolic`` row (closed-form
+accounting, no stepping), asserted bit-identical to ``legacy`` like every
+other row.
 
 A third table covers the closed-form ``symbolic`` engine on the full
 Theorem 1.1 classical pipeline (Algorithm 3 + overlay embedding + Setup +
-Evaluation) over the bounded-degree spanner family: at ``n = 1024`` the
+Evaluation) over the Yao spanner family: at ``n = 1024`` the
 closed form must beat the dense engine by >= 5x with a bit-identical
 flattened report, and an ``n = 4096`` end-to-end run must finish inside a
 fixed wall-clock budget on the 1-CPU container.
@@ -185,7 +189,7 @@ def _bounded_distance_sweep():
     reference = None
     legacy_time = None
     dense_speedup = None
-    for engine in ("legacy", "sparse", "dense", "sharded"):
+    for engine in ("legacy", "sparse", "dense", "sharded", "symbolic"):
         if engine not in available_engines():
             continue
         with force_engine(engine):
@@ -302,7 +306,7 @@ def _tree_primitive_sweep():
     reference = None
     legacy_time = None
     dense_speedup = None
-    for engine in ("legacy", "sparse", "dense", "sharded"):
+    for engine in ("legacy", "sparse", "dense", "sharded", "symbolic"):
         if engine not in available_engines():
             continue
         with force_engine(engine):
@@ -504,7 +508,7 @@ def test_bench_symbolic_pipeline(benchmark, record_artifact, record_json):
             rows,
             title=(
                 "Symbolic closed-form engine: Theorem 1.1 pipeline on the "
-                "bounded-degree spanner"
+                "Yao spanner"
             ),
         ),
     )

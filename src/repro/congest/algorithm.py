@@ -8,6 +8,15 @@ mirrors how CONGEST algorithms are described in the literature -- a single
 program text executed by every processor on its local state -- and keeps the
 simulator honest: a node can only act on information that has reached it
 through messages.
+
+``NodeContext.send`` and ``NodeContext.broadcast`` are the only ways to queue
+a message.  ``send`` checks its receiver against the network's memoized
+neighbor set; ``broadcast`` is one *fan-out*: one neighbor lookup and one
+message per neighbor, all sharing the payload object, which the ``sparse``
+and ``sharded`` engines charge with a single payload walk (see
+:func:`repro.congest.message.make_message_sizer`).  Sizes are shared inside
+one fan-out only: two separate sends of the same payload object are sized
+separately.
 """
 
 from __future__ import annotations
@@ -70,18 +79,24 @@ class NodeContext:
     # ------------------------------------------------------------------ #
     def send(self, neighbor: int, payload: Any, tag: str = "") -> None:
         """Queue a message to ``neighbor`` for delivery next round."""
-        if neighbor not in self.network.neighbors(self.node):
+        if neighbor not in self.network.neighbor_set(self.node):
             raise ValueError(
                 f"node {self.node} tried to send to non-neighbor {neighbor}"
             )
-        self._outbox.append(
-            Message(sender=self.node, receiver=neighbor, payload=payload, tag=tag)
-        )
+        self._outbox.append(Message(self.node, neighbor, payload, tag))
 
     def broadcast(self, payload: Any, tag: str = "") -> None:
-        """Queue the same message to every neighbor."""
-        for neighbor in self.neighbors:
-            self.send(neighbor, payload, tag=tag)
+        """Queue the same message to every neighbor.
+
+        One fan-out: one neighbor lookup, no per-receiver membership check
+        (every receiver is a neighbor by construction) and messages that
+        share one payload object, so the engine sizer walks the payload once
+        for all of them (:meth:`Message.fan_out`).
+        """
+        node = self.node
+        self._outbox.extend(
+            Message.fan_out(node, self.network.neighbors(node), payload, tag)
+        )
 
     def halt(self) -> None:
         """Mark this node as finished; it will not be scheduled again."""

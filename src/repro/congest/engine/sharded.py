@@ -107,9 +107,6 @@ WORKERS_ENV_VAR = "REPRO_SHARD_WORKERS"
 #: per-round routing pass stays negligible on small networks.
 _AUTO_MAX_SHARDS = 4
 
-#: A sized message as the engines carry it: (message, charged bits).
-_Sized = Tuple[Message, int]
-
 
 class ShardWorkerError(RuntimeError):
     """A sharded-engine worker process failed or died mid-run.
@@ -202,24 +199,23 @@ class _ShardState:
         # (shared with sparse so the cache-admission rule cannot drift).
         self._sized = make_message_sizer(word_bits)
 
-    def drain_initial(self) -> List[_Sized]:
+    def drain_initial(self) -> List[Message]:
         """Collect (and size) the messages queued during ``initialize``."""
-        out: List[_Sized] = []
+        out: List[Message] = []
         for ctx in self.contexts.values():
-            for message in ctx._drain_outbox():
-                out.append(self._sized(message))
+            self._sized(ctx._drain_outbox(), out)
         return out
 
     def execute_round(
         self,
         algorithm: NodeAlgorithm,
         round_number: int,
-        delivery: Sequence[_Sized],
-    ) -> List[_Sized]:
+        delivery: Sequence[Message],
+    ) -> List[Message]:
         """Deliver ``delivery`` into this shard, run its compute phase."""
         inboxes = self.inboxes
         touched: List[List[Message]] = []
-        for message, _bits in delivery:
+        for message in delivery:
             box = inboxes[message.receiver]
             if not box:
                 touched.append(box)
@@ -228,11 +224,10 @@ class _ShardState:
         active = self.active
         for ctx in active:
             algorithm.receive(ctx, round_number, inboxes[ctx.node])
-        out: List[_Sized] = []
+        out: List[Message] = []
         for ctx in active:
             if ctx._outbox:
-                for message in ctx._drain_outbox():
-                    out.append(self._sized(message))
+                self._sized(ctx._drain_outbox(), out)
         for box in touched:
             box.clear()
         self.active = [ctx for ctx in active if not ctx.halted]
@@ -252,9 +247,9 @@ class _SerialCoordinator:
         self._algorithm = algorithm
 
     def execute_round(
-        self, round_number: int, deliveries: List[List[_Sized]]
-    ) -> Tuple[List[List[_Sized]], List[int]]:
-        outs: List[List[_Sized]] = []
+        self, round_number: int, deliveries: List[List[Message]]
+    ) -> Tuple[List[List[Message]], List[int]]:
+        outs: List[List[Message]] = []
         actives: List[int] = []
         for state, delivery in zip(self._states, deliveries):
             outs.append(state.execute_round(self._algorithm, round_number, delivery))
@@ -359,7 +354,7 @@ def _serve_run(
     Protocol (parent -> worker / worker -> parent):
 
     * ``("round", r, [(sender_worker, blob), ...])`` -- retained mode.  Each
-      blob is a pickled ``{target_shard: [sized_message, ...]}`` bundle from
+      blob is a pickled ``{target_shard: [sized message, ...]}`` bundle from
       one sender worker (``-1`` = the coordinator's round-1 initialize
       routing).  Delivery per local shard is ``pre + retained + post`` in
       sender order; the reply is
@@ -388,15 +383,15 @@ def _serve_run(
     }
     own = config.index
     local_index = {shard_id: i for i, shard_id in enumerate(config.shard_ids)}
-    retained: List[List[_Sized]] = [[] for _ in states]
+    retained: List[List[Message]] = [[] for _ in states]
 
     while True:
         request = conn.recv()
         kind = request[0]
         if kind == "round":
             _, round_number, bundles = request
-            pre: List[List[_Sized]] = [[] for _ in states]
-            post: List[List[_Sized]] = [[] for _ in states]
+            pre: List[List[Message]] = [[] for _ in states]
+            post: List[List[Message]] = [[] for _ in states]
             for sender, blob in bundles:
                 side = pre if sender < own else post
                 for shard_id, items in pickle.loads(blob).items():
@@ -404,7 +399,7 @@ def _serve_run(
             incoming, retained = retained, [[] for _ in states]
             try:
                 results: List[Tuple[Optional[ShardRoundCharges], int]] = []
-                cross: Dict[int, Dict[int, List[_Sized]]] = {}
+                cross: Dict[int, Dict[int, List[Message]]] = {}
                 for i, state in enumerate(states):
                     if pre[i] or post[i]:
                         delivery = pre[i]
@@ -426,15 +421,15 @@ def _serve_run(
                         # self-delivery, bulk-retained in order.
                         retained[i].extend(out)
                         continue
-                    for item in out:
-                        target = shard_by_node[item[0].receiver]
+                    for message in out:
+                        target = shard_by_node[message.receiver]
                         target_worker = worker_of_shard[target]
                         if target_worker == own:
-                            retained[local_index[target]].append(item)
+                            retained[local_index[target]].append(message)
                         else:
                             cross.setdefault(target_worker, {}).setdefault(
                                 target, []
-                            ).append(item)
+                            ).append(message)
             except Exception as exc:
                 _safe_error_reply(conn, exc, round_number)
                 return "error"
@@ -865,7 +860,7 @@ class _WorkerCoordinator:
 
     # -- retained protocol ---------------------------------------------- #
     def route_initial(
-        self, pending: List[List[_Sized]]
+        self, pending: List[List[Message]]
     ) -> List[List[Tuple[int, bytes]]]:
         """Bundle the initialize-round messages for the retained protocol.
 
@@ -874,7 +869,7 @@ class _WorkerCoordinator:
         in the workers, so round 1 reproduces the global sender-shard order
         exactly like every later round.
         """
-        buckets: List[Dict[int, List[_Sized]]] = [{} for _ in self._workers]
+        buckets: List[Dict[int, List[Message]]] = [{} for _ in self._workers]
         for shard, out in enumerate(pending):
             if not out:
                 continue
@@ -883,11 +878,11 @@ class _WorkerCoordinator:
                     shard, []
                 ).extend(out)
                 continue
-            for item in out:
-                target = self._shard_by_node[item[0].receiver]
+            for message in out:
+                target = self._shard_by_node[message.receiver]
                 buckets[self._worker_of_shard[target]].setdefault(
                     target, []
-                ).append(item)
+                ).append(message)
         return [
             [(-1, pickle.dumps(bucket))] if bucket else []
             for bucket in buckets
@@ -938,8 +933,8 @@ class _WorkerCoordinator:
 
     # -- materialized protocol (observer runs) -------------------------- #
     def execute_round(
-        self, round_number: int, deliveries: List[List[_Sized]]
-    ) -> Tuple[List[List[_Sized]], List[int]]:
+        self, round_number: int, deliveries: List[List[Message]]
+    ) -> Tuple[List[List[Message]], List[int]]:
         stage = f"round {round_number}"
         for index, (shard_ids, _conn, _process) in enumerate(self._workers):
             self._send(
@@ -947,7 +942,7 @@ class _WorkerCoordinator:
                 ("round_full", round_number, [deliveries[s] for s in shard_ids]),
                 stage,
             )
-        outs: List[List[_Sized]] = [[] for _ in deliveries]
+        outs: List[List[Message]] = [[] for _ in deliveries]
         actives: List[int] = [0] * len(deliveries)
         failure: Optional[Tuple[int, Tuple]] = None
         for index, (shard_ids, _conn, _process) in enumerate(self._workers):
@@ -1069,7 +1064,7 @@ def _retained_loop(
     max_rounds: int,
     halt_on_quiescence: bool,
     report: RoundReport,
-    pending: List[List[_Sized]],
+    pending: List[List[Message]],
     total_active: int,
     coordinator: _WorkerCoordinator,
 ) -> Dict[int, NodeContext]:
@@ -1117,7 +1112,7 @@ def _materialized_loop(
     halt_on_quiescence: bool,
     observer: Optional[Any],
     report: RoundReport,
-    pending: List[List[_Sized]],
+    pending: List[List[Message]],
     total_active: int,
     coordinator,
 ) -> Dict[int, NodeContext]:
@@ -1164,19 +1159,19 @@ def _materialized_loop(
         if observer is not None:
             observer(
                 round_number,
-                [message for out in pending for message, _bits in out],
+                [message for out in pending for message in out],
             )
 
         # --- Route into per-shard boundary buffers ------------------------ #
         # Shard order (= contiguous sender order) so each delivery buffer
         # keeps the sparse engine's global inbox order.
-        deliveries: List[List[_Sized]] = [[] for _ in range(num_shards)]
+        deliveries: List[List[Message]] = [[] for _ in range(num_shards)]
         for shard, out in enumerate(pending):
             if local_only[shard]:
                 deliveries[shard].extend(out)
                 continue
-            for item in out:
-                deliveries[shard_by_node[item[0].receiver]].append(item)
+            for message in out:
+                deliveries[shard_by_node[message.receiver]].append(message)
 
         # --- Per-shard deliver/compute phase ------------------------------ #
         pending, active_counts = coordinator.execute_round(
@@ -1233,7 +1228,7 @@ class ShardedEngine(ExecutionEngine):
         # Messages queued during initialization, per sender shard (delivered
         # in round 1).  Drained before any fork/setup, so workers start with
         # empty outboxes and the parent keeps the round-1 buffers.
-        pending: List[List[_Sized]] = [state.drain_initial() for state in states]
+        pending: List[List[Message]] = [state.drain_initial() for state in states]
         total_active = sum(len(state.active) for state in states)
 
         coordinator = None

@@ -10,12 +10,18 @@ bit-identical :class:`RoundReport` numbers); the wins are purely mechanical:
   in a round are cleared) -- node programs must therefore not retain the
   inbox list they are handed beyond the ``receive`` call, which no protocol
   in the library does;
-* message bit sizes are computed once at enqueue time (memoized on the
-  :class:`Message` and additionally shared across the identical payloads a
-  broadcast fans out) and carried alongside the message, so accounting never
-  re-walks a payload;
+* message bit sizes are computed once, at enqueue time, by the shared
+  sizer (:func:`~repro.congest.message.make_message_sizer`) and stamped on
+  the message, so accounting never re-walks a payload and a round allocates
+  no per-message ``(message, bits)`` pairs.  The fan-out sizing rule: the
+  messages of one ``broadcast`` (one :meth:`Message.fan_out` call, one
+  payload object) are charged with one payload walk; separate sends are
+  never charged by payload identity, only through the sizer's value cache
+  of flat int/str tuples, whose admission rule keeps equal-but-differently
+  charged values (``1 == True == 1.0``) apart;
 * the per-round accounting -- totals, per-edge bit sums and the max edge
-  charge -- runs in a single pass over the in-flight messages.
+  charge -- and the delivery into the inboxes run in a single pass over the
+  in-flight messages.
 """
 
 from __future__ import annotations
@@ -63,8 +69,8 @@ class SparseEngine(ExecutionEngine):
 
         report = RoundReport(protocol=algorithm.name)
 
-        # Enqueue-time sizing through the shared broadcast-payload cache
-        # (see make_message_sizer for the cache-admission type rule).
+        # Enqueue-time sizing: stamps each message's charged size, one payload
+        # walk per fan-out (see make_message_sizer for the sharing rules).
         sized = make_message_sizer(word_bits)
 
         for node in network.nodes:
@@ -72,10 +78,9 @@ class SparseEngine(ExecutionEngine):
 
         # Messages queued during initialization (delivered in round 1),
         # sized once at enqueue.
-        in_flight: List[Tuple[Message, int]] = []
+        in_flight: List[Message] = []
         for node in network.nodes:
-            for message in contexts[node]._drain_outbox():
-                in_flight.append(sized(message))
+            sized(contexts[node]._drain_outbox(), in_flight)
 
         active: List[NodeContext] = [
             contexts[node] for node in network.nodes if not contexts[node].halted
@@ -90,21 +95,30 @@ class SparseEngine(ExecutionEngine):
                     f"protocol '{algorithm.name}' exceeded {max_rounds} rounds"
                 )
 
-            # --- Accounting: one pass over the delivered messages ---------- #
+            # --- Accounting and delivery: one pass over the messages ------- #
+            # Delivery only fills engine-private inboxes, so doing it in the
+            # accounting pass is unobservable: a strict-bandwidth error still
+            # fires before any ``receive`` and the observer still sees the
+            # round's messages first.
             max_edge_charge = 1
+            touched: List[List[Message]] = []
             if in_flight:
-                total_messages = report.total_messages
                 total_bits = report.total_bits
                 max_message_bits = report.max_message_bits
                 edge_bits: Dict[Tuple[int, int], int] = {}
-                for message, bits in in_flight:
-                    total_messages += 1
+                for message in in_flight:
+                    bits = message._charged_bits
                     total_bits += bits
                     if bits > max_message_bits:
                         max_message_bits = bits
-                    key = (message.sender, message.receiver)
+                    receiver = message.receiver
+                    key = (message.sender, receiver)
                     edge_bits[key] = edge_bits.get(key, 0) + bits
-                report.total_messages = total_messages
+                    box = inboxes[receiver]
+                    if not box:
+                        touched.append(box)
+                    box.append(message)
+                report.total_messages += len(in_flight)
                 report.total_bits = total_bits
                 report.max_message_bits = max_message_bits
                 for bits in edge_bits.values():
@@ -122,23 +136,14 @@ class SparseEngine(ExecutionEngine):
             report.congested_rounds += max_edge_charge
 
             if observer is not None:
-                observer(round_number, [message for message, _ in in_flight])
-
-            # --- Deliver into the pooled inboxes --------------------------- #
-            touched: List[List[Message]] = []
-            for message, _ in in_flight:
-                box = inboxes[message.receiver]
-                if not box:
-                    touched.append(box)
-                box.append(message)
+                observer(round_number, list(in_flight))
             in_flight = []
 
             for ctx in active:
                 algorithm.receive(ctx, round_number, inboxes[ctx.node])
             for ctx in active:
                 if ctx._outbox:
-                    for message in ctx._drain_outbox():
-                        in_flight.append(sized(message))
+                    sized(ctx._drain_outbox(), in_flight)
             for box in touched:
                 box.clear()
 

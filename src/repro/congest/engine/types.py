@@ -285,17 +285,21 @@ class ShardRoundCharges:
     @classmethod
     def from_messages(
         cls,
-        sized_messages: List[Tuple[Message, int]],
+        sized_messages: List[Message],
         bandwidth: int,
         strict: bool,
     ) -> "ShardRoundCharges":
-        """Account one shard's sized out-messages exactly like sparse does."""
-        messages = 0
+        """Account one shard's sized out-messages exactly like sparse does.
+
+        The messages must have gone through the engine sizer
+        (:func:`repro.congest.message.make_message_sizer`), which stamps the
+        charged size on each of them.
+        """
         bits_total = 0
         max_bits = 0
         edge_bits: Dict[Tuple[int, int], int] = {}
-        for message, bits in sized_messages:
-            messages += 1
+        for message in sized_messages:
+            bits = message._charged_bits
             bits_total += bits
             if bits > max_bits:
                 max_bits = bits
@@ -312,7 +316,7 @@ class ShardRoundCharges:
                 if charge > max_edge_charge:
                     max_edge_charge = charge
         return cls(
-            messages=messages,
+            messages=len(sized_messages),
             bits=bits_total,
             max_message_bits=max_bits,
             max_edge_charge=max_edge_charge,

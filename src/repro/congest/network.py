@@ -234,6 +234,7 @@ class Network:
         self._unweighted_diameter_cache: float | None = None
         self._unit_companion_cache: tuple[int, "Network"] | None = None
         self._shard_view_cache: dict[tuple[int, int], ShardView] = {}
+        self._neighbor_cache: tuple[int, dict, dict] | None = None
 
     # ------------------------------------------------------------------ #
     @property
@@ -257,8 +258,38 @@ class Network:
         return self._graph.nodes
 
     def neighbors(self, node: int) -> Tuple[int, ...]:
-        """The neighbors of ``node`` in the topology."""
-        return tuple(self._graph.neighbors(node))
+        """The neighbors of ``node`` in the topology (memoized tuple)."""
+        tuples = self._neighbor_memo()[0]
+        found = tuples.get(node)
+        if found is None:
+            found = tuples[node] = tuple(self._graph.neighbors(node))
+        return found
+
+    def neighbor_set(self, node: int) -> FrozenSet[int]:
+        """The neighbors of ``node`` as a set, for O(1) membership tests."""
+        sets = self._neighbor_memo()[1]
+        found = sets.get(node)
+        if found is None:
+            found = sets[node] = frozenset(self.neighbors(node))
+        return found
+
+    def _neighbor_memo(
+        self,
+    ) -> Tuple[Dict[int, Tuple[int, ...]], Dict[int, FrozenSet[int]]]:
+        """Per-node neighbor tuples and sets, keyed by the graph's mutation counter.
+
+        Every ``NodeContext.send`` checks its receiver and every ``broadcast``
+        walks the sender's neighbors, so both are built once per node and
+        topology version; any mutation transparently invalidates the memo.
+        """
+        version = getattr(self._graph, "_version", None)
+        if version is None:
+            return {}, {}
+        # getattr: a Network built via __new__ has no memo attribute yet.
+        memo = getattr(self, "_neighbor_cache", None)
+        if memo is None or memo[0] != version:
+            memo = self._neighbor_cache = (version, {}, {})
+        return memo[1], memo[2]
 
     def edge_weight(self, u: int, v: int) -> int:
         """Weight of edge ``{u, v}`` (known initially to both endpoints)."""

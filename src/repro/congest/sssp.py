@@ -94,9 +94,10 @@ class _BellmanFordAlgorithm(NodeAlgorithm):
         memory = ctx.memory
         distances = memory["distances"]
         improved: Dict[int, int] = {}
+        weights = ctx.incident_weights
         for message in messages:
             _, source, dist = message.payload
-            candidate = dist + ctx.edge_weight(message.sender)
+            candidate = dist + weights[message.sender]
             if candidate < distances[source]:
                 distances[source] = candidate
                 improved[source] = candidate

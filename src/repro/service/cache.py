@@ -38,16 +38,30 @@ from typing import Any, Dict, Optional, Tuple
 from repro.congest.engine.types import SimulationResult
 from repro.service.spec import RunSpec
 
-__all__ = ["CacheStats", "ResultCache", "cache_key", "semantic_key"]
+__all__ = [
+    "CacheStats",
+    "RESULTS_SCHEMA_VERSION",
+    "ResultCache",
+    "cache_key",
+    "semantic_key",
+]
 
 #: Fields of a spec that select *how* a run executes rather than *what* it
 #: computes.  Engine-invariant protocols produce identical results across
 #: all of them, which is what cross-engine serving exploits.
 _EXECUTION_FIELDS = ("engine", "backend", "shards", "workers")
 
+#: Version of what a cached result means.  Part of every key (exact and
+#: semantic), so bumping it turns every entry written before -- in memory or
+#: in a persisted disk tier -- into a miss.  Bump it whenever a change alters
+#: what a protocol returns for an unchanged spec: its outputs, its round
+#: accounting, or the serialized result format.
+RESULTS_SCHEMA_VERSION = 1
+
 
 def _key_material(spec: RunSpec, graph_digest: str, semantic: bool) -> str:
     payload = spec.to_json()
+    payload["results_schema"] = RESULTS_SCHEMA_VERSION
     # The graph is represented by its content digest, not its spec: a
     # generator spec and the inline edge list it expands to are the same
     # cache entry.

@@ -190,6 +190,32 @@ class TestLruAndDiskTier:
         assert second.cache.stats.cross_engine_hits == 1
         second.close()
 
+    def test_results_schema_bump_misses_memory_and_disk(self, tmp_path, monkeypatch):
+        import repro.service.cache as cache_module
+
+        spec = sssp_spec(engine="sparse")
+        digest, _ = spec.graph.digest_with_graph()
+        result = SimulationService(max_workers=1).run(spec)
+        cache = ResultCache(directory=tmp_path)
+        cache.store(spec, digest, result)
+        assert cache.lookup(spec, digest) == (result, False)
+
+        monkeypatch.setattr(
+            cache_module,
+            "RESULTS_SCHEMA_VERSION",
+            cache_module.RESULTS_SCHEMA_VERSION + 1,
+        )
+        # Memory tier: the live cache still holds the old entry, yet misses,
+        # also for a cross-engine lookup through the semantic index.
+        assert cache.lookup(spec, digest) is None
+        assert cache.lookup(spec.with_engine("legacy"), digest, allow_cross_engine=True) is None
+        # Disk tier: a fresh cache over the same directory misses too.
+        fresh = ResultCache(directory=tmp_path)
+        assert fresh.lookup(spec, digest) is None
+        assert fresh.lookup(spec.with_engine("legacy"), digest, allow_cross_engine=True) is None
+        assert fresh.stats.disk_hits == 0
+        assert (cache.stats.misses, fresh.stats.misses) == (2, 2)
+
     def test_corrupt_disk_entry_is_a_miss(self, tmp_path):
         spec = sssp_spec()
         service = SimulationService(max_workers=1, cache=ResultCache(directory=tmp_path))
