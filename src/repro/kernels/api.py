@@ -92,8 +92,8 @@ def multi_source_dijkstra(
 
     Returns ``{source: {node: distance}}``; the per-source rows are identical
     to ``dijkstra_csr`` run source by source, but the whole batch is computed
-    in one kernel invocation (one heap pass on the Python backend, one
-    vectorized relaxation on NumPy).
+    in one kernel invocation (one Dijkstra per source over a shared memoized
+    adjacency on the Python backend, one vectorized relaxation on NumPy).
     """
     csr = _snapshot(graph)
     source_indices = [_source_index(csr, source) for source in sources]

@@ -4,8 +4,9 @@ Two backends ship with the library:
 
 * ``"numpy"`` -- batched, vectorized relaxation kernels (registered only when
   NumPy is importable).
-* ``"python"`` -- a dependency-free fallback with the same semantics, using
-  heap-based Dijkstra and frontier relaxation over the flat CSR arrays.
+* ``"python"`` -- a dependency-free fallback with the same semantics: one
+  heap Dijkstra per source and frontier relaxation, both over a per-snapshot
+  ``(neighbor, weight)`` adjacency derived from the CSR arrays.
 
 Selection order (first match wins):
 
