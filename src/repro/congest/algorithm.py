@@ -13,7 +13,7 @@ through messages.
 a message.  ``send`` checks its receiver against the network's memoized
 neighbor set; ``broadcast`` is one *fan-out*: one neighbor lookup and one
 message per neighbor, all sharing the payload object, which the ``sparse``
-and ``sharded`` engines charge with a single payload walk (see
+engine charges with a single payload walk (see
 :func:`repro.congest.message.make_message_sizer`).  Sizes are shared inside
 one fan-out only: two separate sends of the same payload object are sized
 separately.

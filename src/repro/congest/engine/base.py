@@ -2,7 +2,7 @@
 
 Mirrors the kernel backend registry (:mod:`repro.kernels.backend`): engines
 register themselves under a name, and :class:`~repro.congest.simulator.Simulator`
-resolves one per run.  Five engines ship with the library:
+resolves one per run.  Four engines ship with the library:
 
 * ``"sparse"`` -- the default event-driven scheduler: same semantics as the
   seed loop, but with an active-node set instead of full halted scans, pooled
@@ -11,12 +11,6 @@ resolves one per run.  Five engines ship with the library:
   that executes whole rounds as vectorized scatter/reduce over the network's
   CSR adjacency.  Only algorithms that declare a structured numeric message
   schema (:meth:`NodeAlgorithm.message_schema`) are eligible.
-* ``"sharded"`` -- the shard-partitioned executor: the node set is split
-  into ``REPRO_SHARDS`` contiguous CSR-aware shards whose deliver/compute
-  phases run per shard (in-process by default, forked worker processes when
-  ``REPRO_SHARD_WORKERS > 1``), exchanging cross-shard messages through
-  per-round boundary buffers.  Runs arbitrary node programs and needs no
-  NumPy.
 * ``"symbolic"`` -- the closed-form executor: derives the whole
   :class:`RoundReport` analytically for schedule-determined schemas (tree
   primitives, broadcast replays, arrival-gated min-plus runs) instead of
@@ -30,12 +24,11 @@ Selection order (first match wins):
 2. a :func:`force_engine` override (used by the differential tests and the
    engine benchmarks),
 3. the ``REPRO_ENGINE`` environment variable (``sparse``, ``dense``,
-   ``sharded``, ``symbolic``, ``legacy`` or ``auto``),
+   ``symbolic``, ``legacy`` or ``auto``),
 4. ``auto``: ``symbolic`` when the run is symbolic-eligible, else ``dense``
    when it is dense-eligible, otherwise ``sparse``.  Eligibility is each
    engine's own :meth:`ExecutionEngine.supports`; an observed run skips
-   ``symbolic`` (closed forms materialize no message stream).  ``sharded``
-   is opt-in and never auto-selected.
+   ``symbolic`` (closed forms materialize no message stream).
 
 A forced or environment-selected engine that cannot execute a particular run
 (e.g. ``dense`` for an algorithm without a message schema) falls back to

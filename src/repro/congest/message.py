@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Tuple
 
 __all__ = [
     "Message",
@@ -147,19 +147,9 @@ class Message(_MessageSlots):
         return messages
 
     def __reduce__(self) -> Tuple[Any, ...]:
-        # The four fields plus the charged size, which sharded workers ship
-        # along with their out-messages; the size memo is rebuilt on demand
-        # and the fan-out token only matters at enqueue time.
-        return (
-            _restore_message,
-            (
-                self.sender,
-                self.receiver,
-                self.payload,
-                self.tag,
-                getattr(self, "_charged_bits", None),
-            ),
-        )
+        # Rebuild through __init__: the generated frozen-slots pickle state
+        # would leave the bookkeeping slots unset.
+        return (Message, (self.sender, self.receiver, self.payload, self.tag))
 
     def size_bits(self, word_bits: int = 32) -> int:
         """Total charged size of the message in bits (memoized).
@@ -190,16 +180,6 @@ _set_tag = Message.__dict__["tag"].__set__
 _set_size_memo = _MessageSlots.__dict__["_size_memo"].__set__
 _set_fan_out = _MessageSlots.__dict__["_fan_out"].__set__
 _set_charged_bits = _MessageSlots.__dict__["_charged_bits"].__set__
-
-
-def _restore_message(
-    sender: int, receiver: int, payload: Any, tag: str, charged_bits: Optional[int]
-) -> Message:
-    """Unpickle a :class:`Message`, keeping the size an engine charged."""
-    message = Message(sender, receiver, payload, tag)
-    if charged_bits is not None:
-        _set_charged_bits(message, charged_bits)
-    return message
 
 
 def message_size_bits(payload: Any, tag: str = "", word_bits: int = 32) -> int:
@@ -233,9 +213,9 @@ def make_message_sizer(
     Every walk goes through :func:`message_size_bits`, the function
     :meth:`Message.size_bits` memoizes, so there is one source of truth.
 
-    Both the sparse and the sharded engine size through this helper, so the
-    sharing rules -- and with them the bit-identical accounting -- cannot
-    drift between them.
+    The sparse engine sizes through this helper and the legacy loop through
+    :meth:`Message.size_bits`; both end in :func:`message_size_bits`, so the
+    accounting stays bit-identical between them.
     """
     cache: Dict[Tuple[str, Any], int] = {}
 

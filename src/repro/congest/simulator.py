@@ -23,23 +23,12 @@ Since the engine refactor, :class:`Simulator` is a thin facade: the actual
 round loop lives in one of the pluggable execution engines under
 :mod:`repro.congest.engine` (the closed-form ``symbolic`` engine for
 schedule-determined schemas, the vectorized ``dense`` engine for other
-structured message schemas, ``sparse`` for everything else, the
-shard-partitioned ``sharded`` engine -- ``REPRO_SHARDS`` shards, optionally
-executed by ``REPRO_SHARD_WORKERS`` forked worker processes -- and the
-pinned ``legacy`` seed loop).  Every engine produces bit-identical
+structured message schemas, ``sparse`` for everything else, and the pinned
+``legacy`` seed loop).  Every engine produces bit-identical
 :class:`RoundReport` numbers and identical outputs, so which engine runs is
 purely a performance decision -- overridable per call (``engine=``), per
 process (:func:`repro.congest.engine.force_engine`) or per environment
 (``REPRO_ENGINE``).
-
-In sharded worker mode, intra-block messages are retained inside the worker
-that produced them (only boundary bundles and per-shard accounting partials
-cross the coordinator pipes), and consecutive ``run`` calls on the same
-network reuse a persistent forked worker pool instead of re-forking per run
--- pin one explicitly with :func:`repro.congest.shard_worker_pool` for
-deterministic teardown.  Attaching an ``observer`` transparently falls back
-to fully materialized rounds so the observed message stream stays identical
-to the sparse engine's.
 """
 
 from __future__ import annotations
@@ -116,7 +105,7 @@ class Simulator:
             ownership boundary; it never affects the execution itself.
         engine:
             Optional explicit engine name (``"sparse"``, ``"dense"``,
-            ``"sharded"``, ``"symbolic"``, ``"legacy"``).  Defaults to the
+            ``"symbolic"``, ``"legacy"``).  Defaults to the
             forced / ``REPRO_ENGINE`` / ``auto`` selection; an explicitly
             named engine that cannot execute this run raises instead of
             falling back.

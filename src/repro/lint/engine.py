@@ -62,7 +62,7 @@ ENGINE_CODES = {
 _SUPPRESS_RE = re.compile(r"#\s*replint:\s*disable=([A-Za-z0-9_,\s]+)")
 
 #: Literal kinds the module-constant prepass records (REP101/REP103 resolve
-#: names like ``_INF = math.inf`` or ``ENV_VAR = "REPRO_SHARDS"`` through it).
+#: names like ``_INF = math.inf`` or ``ENV_VAR = "REPRO_ENGINE"`` through it).
 _CONST_TYPES = (str, int, float)
 
 

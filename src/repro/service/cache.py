@@ -6,7 +6,7 @@ one process and one live object.  The service cache keys on *content*
 instead: the cache key is the SHA-256 of a canonical JSON document carrying
 the graph's :meth:`~repro.graphs.WeightedGraph.content_digest`, the protocol
 name and parameters, the bandwidth configuration, the per-run options and
-the execution knobs (engine / backend / shards / workers).  Two different
+the execution knobs (engine / backend).  Two different
 graph objects with identical content, or the same request issued by two
 different processes pointing at the same cache directory, hit the same
 entry.
@@ -49,7 +49,7 @@ __all__ = [
 #: Fields of a spec that select *how* a run executes rather than *what* it
 #: computes.  Engine-invariant protocols produce identical results across
 #: all of them, which is what cross-engine serving exploits.
-_EXECUTION_FIELDS = ("engine", "backend", "shards", "workers")
+_EXECUTION_FIELDS = ("engine", "backend")
 
 #: Version of what a cached result means.  Part of every key (exact and
 #: semantic), so bumping it turns every entry written before -- in memory or
@@ -80,7 +80,7 @@ def cache_key(spec: RunSpec, graph_digest: str) -> str:
 
 
 def semantic_key(spec: RunSpec, graph_digest: str) -> str:
-    """The execution-agnostic key (spec minus engine/backend/shards/workers)."""
+    """The execution-agnostic key (spec minus engine/backend)."""
     return hashlib.sha256(
         _key_material(spec, graph_digest, semantic=True).encode()
     ).hexdigest()

@@ -7,22 +7,17 @@ results flow through the content-addressed
 :class:`~repro.service.cache.ResultCache`, and every lifecycle event is
 counted in a :class:`~repro.service.metrics.MetricsRegistry`.
 
-Concurrency model (the GIL caveat, stated honestly): worker *threads* are
-the right executor here because the expensive engines already release the
-work from the interpreter -- ``dense`` runs NumPy kernels (which drop the
-GIL in the C layer), ``sharded`` with ``workers > 1`` forks real processes,
-and cache hits are pure lookups.  Pure-Python engine runs (``sparse``,
-``symbolic``, ``legacy``) do serialize on the GIL; batches of those gain
-concurrency only in wall-clock overlap of their NumPy/forked phases, not
-CPU parallelism.  Scaling pure-Python throughput across cores is a
-process-pool front end, which the sharded engine already provides per run.
+Concurrency model: worker *threads* overlap what happens outside a run --
+validation, graph building, cache lookups and stores.  The runs themselves
+execute one at a time (see below), and every engine executes in the calling
+process: pure-Python runs (``sparse``, ``symbolic``, ``legacy``) hold the
+GIL, and ``dense`` releases it only inside its NumPy kernels.  Spreading
+runs across cores takes several processes, each with its own service.
 
-Execution-knob scoping: a spec's engine/backend/shards/workers are applied
-through :func:`repro.runtime.configure`, which pins *process-wide*
-registries.  To keep one job's knobs from leaking into a concurrently
-running job, the executor serializes the apply-and-run section with a lock
-unless the service was built with ``isolate_execution=False`` (single-knob
-deployments that want maximal overlap).
+Execution-knob scoping: a spec's engine/backend are applied through
+:func:`repro.runtime.configure`, which pins *process-wide* registries.  To
+keep one job's knobs from leaking into a concurrently running job, the
+executor always serializes the configure-and-run section with a lock.
 """
 
 from __future__ import annotations
@@ -135,13 +130,10 @@ class SimulationService:
         one.  Pass ``ResultCache(directory=...)`` for a persistent tier.
     allow_cross_engine:
         Opt-in: let an engine-invariant protocol's cached result answer a
-        request that names a *different* engine/backend/shard configuration.
+        request that names a *different* engine/backend configuration.
     metrics:
         A shared :class:`MetricsRegistry`; a private one is created by
         default.
-    isolate_execution:
-        Serialize the configure-and-run section so concurrent jobs cannot
-        observe each other's forced engine/backend (the safe default).
     """
 
     def __init__(
@@ -150,7 +142,6 @@ class SimulationService:
         cache: Optional[ResultCache] = None,
         allow_cross_engine: bool = False,
         metrics: Optional[MetricsRegistry] = None,
-        isolate_execution: bool = True,
     ) -> None:
         if not isinstance(max_workers, int) or isinstance(max_workers, bool) or max_workers < 1:
             raise ValueError(
@@ -162,7 +153,6 @@ class SimulationService:
         self._cache = cache if cache is not None else ResultCache()
         self._allow_cross_engine = allow_cross_engine
         self._metrics = metrics if metrics is not None else MetricsRegistry()
-        self._isolate = isolate_execution
         self._execution_lock = threading.Lock()
         self._jobs: Dict[str, _Job] = {}
         self._jobs_lock = threading.Lock()
@@ -345,10 +335,7 @@ class SimulationService:
                 graph = spec.graph.build()
             network = Network(graph, spec.congest_config())
             run_started = time.perf_counter()
-            if self._isolate:
-                with self._execution_lock:
-                    result = self._run_spec(protocol, network, spec)
-            else:
+            with self._execution_lock:
                 result = self._run_spec(protocol, network, spec)
             run_seconds = time.perf_counter() - run_started
             self._run_latency.observe(run_seconds, engine=spec.engine or "auto")

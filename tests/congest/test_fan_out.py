@@ -5,8 +5,8 @@ messages share one payload walk; ``NodeContext.send`` checks its receiver
 against the memoized neighbor set.  These tests pin what must not change
 with those shortcuts: a non-neighbor send still raises on every engine that
 interprets node programs, a protocol that mixes sends and broadcasts of
-tuple and list payloads is observed and charged identically on ``legacy``,
-``sparse`` and ``sharded`` (strict-bandwidth aborts included), sizes are
+tuple and list payloads is observed and charged identically on ``legacy``
+and ``sparse`` (strict-bandwidth aborts included), sizes are
 shared inside one fan-out only, and the neighbor memo follows graph
 mutations.
 """
@@ -21,25 +21,15 @@ from repro.congest import CongestConfig, Network, NodeAlgorithm, Simulator
 from repro.congest.algorithm import NodeContext
 from repro.congest.message import Message, make_message_sizer, message_size_bits
 from repro.graphs import WeightedGraph, cycle_graph, random_weighted_graph
-from repro.runtime import configure
 
 pytestmark = pytest.mark.engines
 
-#: (engine, sharded shard count, sharded worker count); the sharded rows
-#: cover shard-serial at two shard counts and the forked worker mode.
-STEPPING = [
-    ("legacy", None, None),
-    ("sparse", None, None),
-    ("sharded", 1, None),
-    ("sharded", 3, None),
-    ("sharded", 2, 2),
-]
-STEPPING_IDS = ["legacy", "sparse", "sharded-1", "sharded-3", "sharded-2x2"]
+#: The engines that interpret node programs round by round.
+STEPPING = ["legacy", "sparse"]
 
 
-def _run(network, algorithm, engine, shards, workers, **kwargs):
-    with configure(shards=shards, workers=workers):
-        return Simulator(network).run(algorithm, engine=engine, **kwargs)
+def _run(network, algorithm, engine, **kwargs):
+    return Simulator(network).run(algorithm, engine=engine, **kwargs)
 
 
 class _SendToStranger(NodeAlgorithm):
@@ -63,14 +53,14 @@ class _SendToStranger(NodeAlgorithm):
             ctx.halt()
 
 
-@pytest.mark.parametrize("engine,shards,workers", STEPPING[:4], ids=STEPPING_IDS[:4])
+@pytest.mark.parametrize("engine", STEPPING)
 @pytest.mark.parametrize("target", [2, 0, 99], ids=["non-adjacent", "self", "unknown"])
 @pytest.mark.parametrize("at_round", [0, 1], ids=["initialize", "receive"])
-def test_send_to_non_neighbor_raises(engine, shards, workers, target, at_round):
+def test_send_to_non_neighbor_raises(engine, target, at_round):
     network = Network(cycle_graph(5))  # node 0's neighbors are 1 and 4
     algorithm = _SendToStranger(0, target, at_round)
     with pytest.raises(ValueError, match=f"non-neighbor {target}"):
-        _run(network, algorithm, engine, shards, workers)
+        _run(network, algorithm, engine)
 
 
 class _FanOutMix(NodeAlgorithm):
@@ -82,8 +72,7 @@ class _FanOutMix(NodeAlgorithm):
     * broadcasts its ``log`` list (unhashable: fan-out reuse only), then
       sends the same list object again to its first neighbor as a separate
       send; the list grows every round (a new object: a sent payload is
-      never mutated, which the model forbids and which a forked sharded
-      worker, holding a copy, would not see);
+      never mutated, which the model forbids);
     * sends a nested tuple and a list with a node-dependent string to its
       first neighbor, so per-edge bit sums differ from edge to edge.
 
@@ -129,7 +118,7 @@ def _mix_network(strict=False, bandwidth_words=2):
     return Network(graph, config)
 
 
-def _observed(network, engine, shards, workers, rounds=5):
+def _observed(network, engine, rounds=5):
     """Run the mix under an observer; return (stream, result or ValueError)."""
     stream = []
     word_bits = network.word_bits
@@ -147,9 +136,7 @@ def _observed(network, engine, shards, workers, rounds=5):
         )
 
     try:
-        result = _run(
-            network, _FanOutMix(rounds), engine, shards, workers, observer=observer
-        )
+        result = _run(network, _FanOutMix(rounds), engine, observer=observer)
     except ValueError as exc:
         return stream, exc
     return stream, result
@@ -164,10 +151,7 @@ def _edge_sums(delivered):
 
 def test_mixed_fan_out_protocol_identical_on_stepping_engines():
     network = _mix_network()
-    runs = {
-        name: _observed(network, engine, shards, workers)
-        for name, (engine, shards, workers) in zip(STEPPING_IDS, STEPPING)
-    }
+    runs = {engine: _observed(network, engine) for engine in STEPPING}
     reference_stream, reference = runs.pop("legacy")
     assert reference.report.total_messages > 0
     assert reference.report.congested_rounds > reference.report.rounds
@@ -178,12 +162,9 @@ def test_mixed_fan_out_protocol_identical_on_stepping_engines():
 
 
 def test_mixed_fan_out_reports_identical_without_observer():
-    # Unobserved, sharded worker mode takes its retained protocol (messages
-    # pickled between workers) instead of the materialized one.
     network = _mix_network()
     reports = {
-        name: _run(network, _FanOutMix(5), engine, shards, workers).report
-        for name, (engine, shards, workers) in zip(STEPPING_IDS, STEPPING)
+        engine: _run(network, _FanOutMix(5), engine).report for engine in STEPPING
     }
     reference = reports.pop("legacy")
     for name, report in reports.items():
@@ -194,7 +175,7 @@ def test_strict_bandwidth_raises_on_the_same_edge_everywhere():
     # From the non-strict reference stream: the budget that round 1 just
     # fits, then the first edge over it.  The strict run must abort in that
     # round, naming that edge's bit sum, on every engine.
-    loose_stream, _ = _observed(_mix_network(), "legacy", None, None)
+    loose_stream, _ = _observed(_mix_network(), "legacy")
     word_bits = _mix_network().word_bits
     words = -(-max(_edge_sums(loose_stream[0][1]).values()) // word_bits)
     budget = words * word_bits
@@ -209,13 +190,13 @@ def test_strict_bandwidth_raises_on_the_same_edge_everywhere():
     sums = _edge_sums(loose_stream[first_round - 1][1])
     assert [key for key, bits in sums.items() if bits == edge_sum] == [edge]
 
-    for name, (engine, shards, workers) in zip(STEPPING_IDS, STEPPING):
+    for engine in STEPPING:
         stream, outcome = _observed(
-            _mix_network(strict=True, bandwidth_words=words), engine, shards, workers
+            _mix_network(strict=True, bandwidth_words=words), engine
         )
-        assert isinstance(outcome, ValueError), f"{name} did not raise"
-        assert f": {edge_sum} bits on one edge" in str(outcome), name
-        assert stream == loose_stream[: first_round - 1], name
+        assert isinstance(outcome, ValueError), f"{engine} did not raise"
+        assert f": {edge_sum} bits on one edge" in str(outcome), engine
+        assert stream == loose_stream[: first_round - 1], engine
 
 
 # --------------------------------------------------------------------------- #
@@ -280,12 +261,12 @@ def test_fan_out_messages_are_ordinary_messages():
     assert fan[0].size_bits(8) == plain[0].size_bits(8)
 
 
-def test_pickled_message_keeps_fields_and_charged_size():
+def test_pickled_message_keeps_fields():
     out = []
     make_message_sizer(8)(Message.fan_out(0, [1], ("a", 5), "t"), out)
     clone = pickle.loads(pickle.dumps(out[0]))
     assert clone == out[0]
-    assert clone._charged_bits == out[0]._charged_bits
+    assert clone.size_bits(8) == out[0]._charged_bits
     unsized = pickle.loads(pickle.dumps(Message(0, 1, [2])))
     assert unsized.size_bits(8) == message_size_bits([2], "", 8)
 

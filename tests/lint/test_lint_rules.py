@@ -203,7 +203,7 @@ class TestEnvConfigRead:
             import os
 
             def f():
-                return os.getenv("REPRO_SHARDS", ""), os.environ["REPRO_ENGINE"]
+                return os.getenv("REPRO_BACKEND", ""), os.environ["REPRO_ENGINE"]
             """,
             select=["REP103"],
         )

@@ -34,7 +34,7 @@ class TestKeys:
     def test_semantic_key_ignores_execution_fields(self):
         digest = "ab" * 32
         a = semantic_key(sssp_spec(engine="sparse", backend="python"), digest)
-        b = semantic_key(sssp_spec(engine="dense", shards=3, workers=1), digest)
+        b = semantic_key(sssp_spec(engine="dense"), digest)
         assert a == b
 
     def test_semantic_key_still_sees_protocol_params(self):
@@ -66,7 +66,7 @@ class TestKeys:
 class TestWarmHitsEqualFreshRuns:
     @pytest.mark.parametrize("engine", available_engines())
     def test_warm_hit_equals_fresh_run(self, engine):
-        spec = sssp_spec(engine=engine, workers=1)
+        spec = sssp_spec(engine=engine)
         cold_service = SimulationService(max_workers=1)
         fresh = cold_service.run(spec)
         cold_service.close()

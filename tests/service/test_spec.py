@@ -85,8 +85,6 @@ class TestRunSpecSerialization:
         spec = path_spec(
             engine="dense",
             backend="numpy",
-            shards=2,
-            workers=1,
             max_rounds=99,
             halt_on_quiescence=True,
             bandwidth_words=3,
@@ -119,6 +117,13 @@ class TestRunSpecSerialization:
         payload["turbo"] = True
         with pytest.raises(ValueError, match="turbo"):
             RunSpec.from_json(payload)
+        # The shard and worker counts of the removed sharded engine are
+        # unknown fields too, not silently ignored ones.
+        for removed in ("shards", "workers"):
+            payload = path_spec().to_json()
+            payload[removed] = 2
+            with pytest.raises(ValueError, match=f"unknown fields \\['{removed}'\\]"):
+                RunSpec.from_json(payload)
 
     def test_from_json_requires_protocol_and_graph(self):
         with pytest.raises(ValueError, match="'protocol' and 'graph'"):
@@ -160,7 +165,7 @@ class TestRunSpecValidation:
         assert "cuda" in message
         assert "python" in message  # always-registered fallback backend
 
-    @pytest.mark.parametrize("field", ["shards", "workers", "max_rounds"])
+    @pytest.mark.parametrize("field", ["max_rounds"])
     @pytest.mark.parametrize("bad", [0, -3, 1.5, "two", True])
     def test_counts_must_be_positive_ints(self, field, bad):
         with pytest.raises(ValueError, match=field):
